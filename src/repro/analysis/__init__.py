@@ -29,11 +29,7 @@ Three consumers build on the analysis:
 
 from repro.analysis.cfg import CFG, BasicBlock, build_cfg
 from repro.analysis.dataflow import InstFacts, WidthAnalysis, analyze
-from repro.analysis.effects import (
-    EffectsAnalysis,
-    MemoProof,
-    analyze_effects,
-)
+from repro.analysis.effects import EffectsAnalysis, analyze_effects
 from repro.analysis.intervals import BOOL, BYTE, TOP, WORD16, Interval
 from repro.analysis.linter import Diagnostic, lint_program
 from repro.analysis.liveness import LivenessAnalysis, analyze_liveness
@@ -52,7 +48,6 @@ __all__ = [
     "WidthAnalysis",
     "analyze",
     "EffectsAnalysis",
-    "MemoProof",
     "analyze_effects",
     "LivenessAnalysis",
     "analyze_liveness",

@@ -4,7 +4,7 @@ Modes, combinable::
 
     repro-lint all                      # lint every registered workload
     repro-lint go ijpeg --summary       # lint + static width summary
-    repro-lint all --effects-report     # memory effects & memo proofs
+    repro-lint all --effects-report     # per-block memory effects
     repro-lint all --packing-report     # verify static/dynamic soundness
 
 The default mode runs the program linter and prints ``file:line``
@@ -19,10 +19,9 @@ violations (must be zero) and the static upper bound on packed
 operations against the observed count (bound must hold).  This is the
 executable form of the analyzer's soundness claim.
 
-``--effects-report`` prints the per-block memory-effect summary and
-memo proof table from :mod:`repro.analysis.effects` — the static side
-of the fast backend's block memoization (which blocks are provably
-memo-safe, their live-in key registers, and why the rest are not).
+``--effects-report`` prints the per-block memory-effect summary from
+:mod:`repro.analysis.effects` — the static facts behind the L006/L007
+lint rules (each block's effect kind and natural-loop membership).
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero on warnings, not just errors")
     parser.add_argument("--effects-report", action="store_true",
-                        help="print the per-block memory-effect and "
-                             "memo-proof table (static side of fast-"
-                             "backend block memoization)")
+                        help="print the per-block memory-effect table "
+                             "(the static facts behind L006/L007)")
     parser.add_argument("--packing-report", action="store_true",
                         help="run the differential oracle on an "
                              "instrumented simulation and report the "
@@ -85,8 +83,7 @@ def _lint_one(name: str, scale: int, summary: bool,
     """Lint one workload; returns the worst severity found."""
     program = get_workload(name).build(scale)
     analysis = analyze(program)
-    # One effects fixpoint serves the lint rules, the report, and the
-    # memo-proof summary alike.
+    # One effects fixpoint serves the lint rules and the report alike.
     effects = EffectsAnalysis(program, width=analysis).run()
     diagnostics = lint_program(program, analysis, effects)
     stats = analysis.summary()
@@ -95,10 +92,7 @@ def _lint_one(name: str, scale: int, summary: bool,
         print(f"{name}: {s['blocks']} blocks "
               f"({s['pure_blocks']} pure / {s['load_only_blocks']} "
               f"load-only / {s['store_blocks']} storing), "
-              f"{s['memo_safe_blocks']} memo-safe covering "
-              f"{s['memo_safe_insts']} insts "
-              f"({s['memo_safe_in_loops']} in loops), "
-              f"{s['trap_free_blocks']} trap-free")
+              f"{s['loop_blocks']} in loops")
         print(effects.report())
     if summary:
         results = stats["results"] or 1

@@ -42,7 +42,7 @@ _WIDEN_AFTER = 4
 
 _ZERO = iv.ZERO
 
-#: Result interval of each load flavour (no memory modeling: the
+#: Result interval of each load flavour (memory is not modeled: the
 #: zero-extended sub-word loads and the sign-extending ldl are bounded
 #: by their width, a full quadword load is unknown).
 _LOAD_RESULT = {

@@ -82,8 +82,8 @@ def lint_program(program: Program,
                  effects: EffectsAnalysis | None = None,
                  ) -> list[Diagnostic]:
     """Lint ``program``; reuses ``analysis`` (and ``effects``) when the
-    caller already ran them (the CLI does, to render widths, memo
-    proofs, and lint from one set of fixpoints)."""
+    caller already ran them (the CLI does, to render widths, effects,
+    and lint from one set of fixpoints)."""
     analysis = analysis or analyze(program)
     effects = (effects
                or EffectsAnalysis(program, width=analysis)).run()

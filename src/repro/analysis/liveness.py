@@ -2,8 +2,7 @@
 
 Runs over the recovered CFG (:mod:`repro.analysis.cfg`), complementing
 the forward width fixpoint (:mod:`repro.analysis.dataflow`) with the
-backward facts the block-memoization proof and the dead-code lint rules
-need:
+backward facts the dead-code lint rules need:
 
 * per-block **use/def summaries** — ``use`` is the set of upward-exposed
   register reads (read before any write inside the block), ``defs`` the
@@ -19,11 +18,10 @@ need:
 * **dominators and natural loops** — the iterative dominator fixpoint
   over reachable blocks, back edges (``t -> h`` with ``h`` dominating
   ``t``), and the natural loop body of each back edge.  Loop membership
-  tells the memoizer which blocks re-execute enough to be worth
-  recording and gives reports a "hot by construction" column.
+  gives reports a "hot by construction" column.
 
 Everything here is a pure function of the program; results are used by
-:mod:`repro.analysis.effects` (memo proofs), the linter's L006/L007
+:mod:`repro.analysis.effects` (the loop column), the linter's L006/L007
 rules, and ``repro-lint --effects-report``.
 """
 

@@ -66,7 +66,7 @@ class Opcode(enum.Enum):
     CMPLE = "cmple"      # rd = (ra <=s rb)
     CMPULT = "cmpult"    # rd = (ra <u rb)
     CMPULE = "cmpule"    # rd = (ra <=u rb)
-    LDA = "lda"          # rd = rb + disp  (address arithmetic, no memory)
+    LDA = "lda"          # rd = rb + disp  (address arithmetic only)
     LDAH = "ldah"        # rd = rb + disp*65536
 
     # -- multiply ----------------------------------------------------------

@@ -23,8 +23,9 @@ Every scenario is hermetic: it builds its own service (and, where the
 fault lives in the transport, its own real HTTP front end on a private
 event loop) inside a temporary directory, and compares served payloads
 against :func:`_expected_bytes` — canonical result bytes computed by a
-direct :class:`~repro.exec.engine.RunEngine` run with the process memo
-disabled, so "byte-identical" is proven against a true re-simulation,
+direct :class:`~repro.exec.engine.RunEngine` run right after
+:func:`~repro.exec.engine.clear_memo` empties the process-wide result
+memo, so "byte-identical" is proven against a true re-simulation,
 never against a shared in-memory object.
 """
 
@@ -74,11 +75,11 @@ _WAIT = 120.0
 
 def _service_ctx(root: Path) -> RunContext:
     """The scenario services run the CAS layout.  Callers pair this
-    with :func:`~repro.exec.engine.clear_memo` — the process-wide
-    result memo would otherwise serve jobs from memory and bypass the
-    very disk/journal tiers the scenarios corrupt."""
+    with :func:`~repro.exec.engine.clear_memo`, which alone keeps the
+    process-wide result memo from serving jobs from memory and so
+    bypassing the very disk/journal tiers the scenarios corrupt."""
     return RunContext(cache_dir=root / "cas", cache_layout="cas",
-                      obs_dir=None, jobs=1, memo=False)
+                      obs_dir=None, jobs=1)
 
 
 def _expected_bytes(workload: str = WORKLOAD) -> bytes:
@@ -86,7 +87,7 @@ def _expected_bytes(workload: str = WORKLOAD) -> bytes:
     truth every scenario's served payload is compared against."""
     job = JobSpec(workload=workload).resolve()
     clear_memo()
-    ctx = RunContext(cache_dir=None, obs_dir=None, jobs=1, memo=False)
+    ctx = RunContext(cache_dir=None, obs_dir=None, jobs=1)
     result = RunEngine(ctx).run_jobs([job])[job.key]
     return canonical_result_bytes(result_to_dict(result))
 

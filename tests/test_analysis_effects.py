@@ -1,5 +1,5 @@
-"""Effects analysis: per-block memory summaries, address intervals,
-and the memo-safety proofs the fast backend's block cache consumes."""
+"""Effects analysis: per-block memory summaries and the address
+intervals the L007 dead-store rule compares."""
 
 from repro.analysis.effects import (
     LOAD_ONLY,
@@ -8,9 +8,7 @@ from repro.analysis.effects import (
     AccessRange,
     analyze_effects,
 )
-from repro.asm.assembler import Assembler, standard_prologue
-from repro.fastsim.blockcache import MIN_BODY_LEN, build_plan
-from repro.isa.registers import REG_INDEX
+from repro.asm.assembler import Assembler
 from repro.workloads.registry import all_workloads
 
 
@@ -27,10 +25,10 @@ def test_pure_block_classified():
     asm.halt()
     eff = _effects(asm)
     assert eff.effects[0].effect == PURE
-    assert eff.proofs[0].memo_safe
+    assert eff.effects[0].loads == () and eff.effects[0].stores == ()
 
 
-def test_store_block_never_memo_safe():
+def test_store_block_classified():
     asm = Assembler("t")
     buf = asm.alloc("buf", 16)
     asm.li("s0", buf)
@@ -39,14 +37,15 @@ def test_store_block_never_memo_safe():
     eff = _effects(asm)
     block = next(b for b in eff.effects.values() if b.stores)
     assert block.effect == STORES
-    proof = eff.proofs[block.leader]
-    assert not proof.memo_safe
-    assert any("stores" in r for r in proof.reasons)
+    (store,) = block.stores
+    assert store.is_store and not store.unbounded
+    assert (store.lo, store.hi) == (buf, buf + 7)
+    assert eff.store_ranges == (store,)
 
 
-def test_load_disjoint_from_stores_is_memo_safe():
+def test_load_disjoint_from_stores():
     # Load from one buffer, store to another: the interval domain keeps
-    # the ranges apart, so the loading block stays provably memo-safe.
+    # the ranges apart, so no store can clobber the loaded bytes.
     asm = Assembler("t")
     src = asm.alloc("src", 16)
     dst = asm.alloc("dst", 16)
@@ -65,17 +64,17 @@ def test_load_disjoint_from_stores_is_memo_safe():
     loading = next(b for b in eff.effects.values()
                    if b.loads and not b.stores)
     assert loading.effect == LOAD_ONLY
-    # No store range may overlap the load range, and the proof accepts
-    # the loading block's body.
+    # No store range may overlap the load range.
     load = loading.loads[0]
     assert not load.unbounded
+    assert load in eff.load_ranges
+    assert eff.store_ranges
     assert all(not load.overlaps(s) for s in eff.store_ranges)
-    assert eff.proofs[loading.leader].memo_safe
 
 
-def test_load_aliasing_store_blocks_memoization():
-    # Load and store share one buffer: the proof must refuse the
-    # loading block (the loaded bytes are mutable).
+def test_load_aliasing_store_overlaps():
+    # Load and store share one buffer: their byte ranges must overlap
+    # (the loaded bytes are mutable, and the store is not dead).
     asm = Assembler("t")
     buf = asm.alloc("buf", 16)
     asm.li("s0", buf)
@@ -87,14 +86,16 @@ def test_load_aliasing_store_blocks_memoization():
     asm.br("bne", "s2", "loop")
     asm.halt()
     eff = _effects(asm)
-    # Every block containing that load is store-tainted here (load and
-    # store share a block), so check the reason machinery on the proof.
-    tainted = next(p for p in eff.proofs.values() if not p.memo_safe
-                   and p.reasons)
-    assert tainted.reasons
+    # Load and store share one block, which the store classifies.
+    block = next(b for b in eff.effects.values() if b.loads)
+    assert block.effect == STORES
+    (load,) = block.loads
+    (store,) = block.stores
+    assert load.overlaps(store) and store.overlaps(load)
+    assert any(store.overlaps(r) for r in eff.load_ranges)
 
 
-def test_body_excludes_trailing_branch():
+def test_trailing_branch_block_reported_as_pure_loop():
     asm = Assembler("t")
     asm.label("loop")
     asm.op("addq", "t0", "t0", 1)
@@ -102,22 +103,11 @@ def test_body_excludes_trailing_branch():
     asm.br("bne", "t0", "loop")
     asm.halt()
     eff = _effects(asm)
-    proof = eff.proofs[0]
-    assert proof.body_len == 2          # the bne executes live
-    assert proof.end - proof.start == 3
-
-
-def test_proof_key_and_delta_registers():
-    asm = Assembler("t")
-    asm.op("addq", "t0", "t1", "t2")    # reads t1,t2; writes t0
-    asm.op("addq", "t3", "t0", 1)       # reads t0 (defined); writes t3
-    asm.halt()
-    eff = _effects(asm)
-    proof = eff.proofs[0]
-    assert REG_INDEX["t1"] in proof.ue_regs
-    assert REG_INDEX["t2"] in proof.ue_regs
-    assert REG_INDEX["t0"] not in proof.ue_regs
-    assert {REG_INDEX["t0"], REG_INDEX["t3"]} <= set(proof.defs)
+    # The trailing branch belongs to the block and never touches memory.
+    assert eff.effects[0].effect == PURE
+    assert eff.summary()["loop_blocks"] == 1
+    row = eff.report().splitlines()[1].split()
+    assert row == ["0..2", "3", PURE, "yes"]
 
 
 def test_access_range_overlap_semantics():
@@ -130,31 +120,11 @@ def test_access_range_overlap_semantics():
     assert a.overlaps(top) and top.overlaps(a)
 
 
-# ------------------------------------------------------------- plan
-
-def test_build_plan_filters_short_and_unsafe_bodies():
-    asm = Assembler("t")
-    buf = asm.alloc("buf", 16)
-    asm.li("s0", buf)
-    asm.label("loop")
-    asm.op("addq", "t0", "t0", 1)
-    asm.op("addq", "t1", "t1", 2)
-    asm.op("addq", "t2", "t2", 3)
-    asm.br("bne", "t0", "loop")
-    asm.store("stq", "t0", "s0", 0)     # storing exit block
-    asm.halt()
-    plan = build_plan(asm.assemble())
-    for leader, (body_len, ue, defs, has_loads, trap_free) in plan.items():
-        assert body_len >= MIN_BODY_LEN
-        assert isinstance(ue, tuple) and isinstance(defs, tuple)
-
-
 def test_summary_and_report_cover_workloads():
     for workload in all_workloads():
         eff = analyze_effects(workload.build(1))
         s = eff.summary()
         assert s["blocks"] == (s["pure_blocks"] + s["load_only_blocks"]
                                + s["store_blocks"])
-        assert s["memo_safe_blocks"] <= s["blocks"]
         report = eff.report()
         assert len(report.splitlines()) == s["blocks"] + 1

@@ -123,7 +123,8 @@ def run_pair(workload_name: str, config: MachineConfig,
 
 class TestFastMachineEquivalence:
     @pytest.mark.parametrize("workload", ["go", "compress", "g721-encode",
-                                          "gcc", "xlisp"])
+                                          "gcc", "xlisp", "perl",
+                                          "m88ksim"])
     def test_baseline_config(self, workload):
         assert run_pair(workload, BASELINE) == []
 
