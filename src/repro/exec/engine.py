@@ -42,7 +42,8 @@ crashing — during the render phase.
 Observability (the performance layer, :mod:`repro.perf`): pass a
 :class:`~repro.perf.trace.SpanTracer` and the engine records one span
 tree per batch — schedule, per-job queue-wait, worker execute (with
-warmup / run / serialize child phases), cache store / hit /
+warmup / run / serialize child phases; warmup split into
+resolve-warmup / construct / fast-forward), cache store / hit /
 quarantine, and retry / backoff / requeue rounds — exportable as
 Chrome trace JSON and cross-linked (by span id) into the obs run
 manifests.  Span accounting is exact by construction: every charged
@@ -188,7 +189,9 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     and ``manifest`` are ever cached; ``timing`` (epoch stamps of the
     warmup / run / serialize phases) and ``metrics`` (this worker's
     registry snapshot) describe *this* execution and are consumed by
-    the parent's tracer and metrics registry, then dropped.  ``fault``
+    the parent's tracer and metrics registry, then dropped.  The warmup
+    phase is further stamped into resolve-warmup, construct and
+    fast-forward, recorded as child spans of ``sim.warmup``.  ``fault``
     is a chaos-harness token (:func:`repro.robust.faults.apply_fault`)
     interpreted before the simulation starts.
 
@@ -203,7 +206,9 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     t_start = epoch_now()
     apply_fault(fault)
     workload = get_workload(job.workload)
+    t_resolve = epoch_now()
     warmup = resolve_warmup(workload, job.scale)
+    t_construct = epoch_now()
     machine_cls = Machine
     if backend == "fast" and not obs:
         from repro.fastsim.machine import FastMachine
@@ -214,11 +219,13 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
         sampler = IntervalSampler(window=job.config.obs.sampler_window)
         machine.add_probe(sampler)
         machine.enable_stall_attribution()
-    machine.fast_forward(warmup)
     cross = None
     if backend == "both":
         from repro.fastsim.machine import FastMachine
         cross = FastMachine(workload.build(job.scale), job.config)
+    t_forward = epoch_now()
+    machine.fast_forward(warmup)
+    if cross is not None:
         cross.fast_forward(warmup)
     t_run = epoch_now()
     result = machine.run(max_insts=workload.window)
@@ -246,12 +253,19 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     registry.counter("sim.cycles").inc(result.stats.cycles)
     registry.counter("sim.committed").inc(result.stats.committed)
     registry.histogram("sim.warmup_seconds").observe(t_run - t_start)
+    registry.histogram("sim.resolve_warmup_seconds").observe(
+        t_construct - t_resolve)
+    registry.histogram("sim.construct_seconds").observe(
+        t_forward - t_construct)
+    registry.histogram("sim.fast_forward_seconds").observe(t_run - t_forward)
     registry.histogram("sim.run_seconds").observe(t_serialize - t_run)
     registry.histogram("sim.serialize_seconds").observe(t_end - t_serialize)
     return {
         "result": payload_result,
         "manifest": manifest,
-        "timing": {"pid": os.getpid(), "start": t_start, "run": t_run,
+        "timing": {"pid": os.getpid(), "start": t_start,
+                   "resolve": t_resolve, "construct": t_construct,
+                   "forward": t_forward, "run": t_run,
                    "serialize": t_serialize, "end": t_end},
         "metrics": registry.snapshot(),
     }
@@ -701,9 +715,16 @@ class RunEngine:
                 "execute", "attempt", timing["start"], timing["end"],
                 pid=timing["pid"], job=stem, workload=job.workload,
                 attempt=attempt, outcome=outcome)
-            tracer.add_epoch("sim.warmup", "sim", timing["start"],
-                             timing["run"], parent=span,
-                             pid=timing["pid"], job=stem)
+            warmup_span = tracer.add_epoch(
+                "sim.warmup", "sim", timing["start"], timing["run"],
+                parent=span, pid=timing["pid"], job=stem)
+            for name, begin, end in (
+                    ("sim.resolve_warmup", "resolve", "construct"),
+                    ("sim.construct", "construct", "forward"),
+                    ("sim.fast_forward", "forward", "run")):
+                tracer.add_epoch(name, "sim", timing[begin], timing[end],
+                                 parent=warmup_span, pid=timing["pid"],
+                                 job=stem)
             tracer.add_epoch("sim.run", "sim", timing["run"],
                              timing["serialize"], parent=span,
                              pid=timing["pid"], job=stem)

@@ -18,6 +18,10 @@ model SimpleScalar-style (``sim-fast`` / ``sim-outorder``):
   accumulation (``from_columns`` builders) — batch numpy over the whole
   trace instead of per-instruction Python.
 
+Before phase 1, warmup and workload-length counting never leave the
+correct path; they run the lean true-path executor of
+:mod:`repro.fastsim.functional` instead of the speculative feed.
+
 The contract is *bit-exactness*: ``FastMachine.run`` returns a
 :class:`~repro.core.machine.RunResult` whose serialized form equals the
 reference machine's for every workload and configuration.  The engine's

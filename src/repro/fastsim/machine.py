@@ -42,6 +42,14 @@ stream itself is timing-dependent: wrong-path depth depends on when
 branches resolve.  The contract — enforced by ``--backend both``, the
 CI equivalence matrix, and the round-trip tests — is that
 ``FastMachine.run`` serializes identically to ``Machine.run``.
+
+The functional feed (fetch, predict, execute — wrong paths included)
+exists once in this module, inlined in :meth:`FastMachine._loop`; its
+only twin is the reference :class:`~repro.core.feed.Feed`, which stays
+the oracle.  Warmup never leaves the correct path, so
+:meth:`FastMachine.fast_forward` runs the lean true-path executor of
+:mod:`repro.fastsim.functional` instead (the same loop counts workload
+lengths).
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.asm.layout import PAGE_BYTES as _PAGE_BYTES
-from repro.bitwidth.tags import tag_code_of_value
 from repro.branch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.branch.predictors import (
     CombiningPredictor,
@@ -62,26 +69,13 @@ from repro.core.config import BASELINE, MachineConfig
 from repro.core.machine import RunResult
 from repro.fastsim.capture import TraceCapture
 from repro.fastsim.replay import build_result
-from repro.fastsim.compile import (
-    K_BSR,
-    K_COND,
-    K_HALT,
-    K_JSR,
-    K_LOAD,
-    K_NOP,
-    K_OPERATE,
-    K_RET,
-    K_STORE,
-    compile_program,
-)
+from repro.fastsim.compile import compile_program
+from repro.fastsim.functional import run_true_path
 from repro.isa.instruction import Program
 from repro.isa.registers import NUM_INT_REGS
-from repro.isa.semantics import branch_taken, compute, sext
 from repro.memory.backing import MainMemory, SpeculativeMemory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats.counters import CoreStats
-
-_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 # Field indices into the per-instruction entry list (one flat list per
 # dynamic instruction, covering what DynInst + RUUEntry hold).  The
@@ -145,7 +139,6 @@ class FastMachine:
         self._seq = 0
         self._spec = False
         self._halted = False
-        self._fast_mode = False
         self._checkpoint = None
 
         # ---- timing state -------------------------------------------
@@ -204,195 +197,20 @@ class FastMachine:
             self._dblk = -1
         return latency
 
-    # -------------------------------------------------- functional feed
-
-    def _next_inst(self):
-        """Fetch, predict, and functionally execute one instruction —
-        the fast twin of :meth:`repro.core.feed.Feed.next`.  Returns a
-        fresh entry list, or None when the feed cannot supply more.
-
-        Only :meth:`fast_forward` calls this; the cycle loop inlines the
-        same logic (kept in lockstep — any change here must be mirrored
-        in :meth:`_loop`).
-        """
-        if self._halted:
-            return None
-        cp = self.cp
-        raw = self._fetch_index
-        cidx = raw if 0 <= raw < cp.n else cp.n
-        kind = cp.kind[cidx]
-        spec = self._spec
-        if kind == K_HALT and spec:
-            return None   # wrong path fell off the program
-        seq = self._seq
-        self._seq = seq + 1
-        pc = cp.base_pc + raw * 4
-        regs = self._regs
-        tags = self._tags
-        fload = self._from_load
-        a = 0
-        b = 0
-        ta = 2
-        tb = 2
-        fl = False
-        res = None
-        addr = None
-        mis = False
-        nxt = raw + 1
-
-        if kind == K_OPERATE:
-            ra = cp.ra31[cidx]
-            a = regs[ra]
-            ta = tags[ra]
-            fl = ra != 31 and fload[ra]
-            if cp.has_rb[cidx]:
-                rb = cp.rb31[cidx]
-                b = regs[rb]
-                tb = tags[rb]
-                fl = fl or (rb != 31 and fload[rb])
-            else:
-                b = cp.imm_u[cidx]
-                tb = cp.imm_tag[cidx]
-            res = compute(cp.opcode[cidx], a, b, regs[cp.rd31[cidx]])
-            rd = cp.rd_w[cidx]
-            if rd >= 0:
-                regs[rd] = res
-                fload[rd] = False
-                tags[rd] = tag_code_of_value(res)
-        elif kind == K_LOAD:
-            rb = cp.rb31[cidx]
-            a = regs[rb]
-            ta = tags[rb]
-            fl = rb != 31 and fload[rb]
-            b = cp.imm_u[cidx]
-            tb = cp.imm_tag[cidx]
-            addr = (a + b) & _MASK64
-            mem = self._spec_memory if spec else self._memory
-            res = mem.load(addr, cp.mem_size[cidx])
-            if cp.is_ldl[cidx]:
-                res = sext(res, 32)
-            rd = cp.rd_w[cidx]
-            if rd >= 0:
-                regs[rd] = res
-                fload[rd] = True
-                tags[rd] = (tag_code_of_value(res) if self._detect_loads
-                            else 0)   # no zero-detect: tag unknown
-        elif kind == K_STORE:
-            rb = cp.rb31[cidx]
-            a = regs[rb]
-            ta = tags[rb]
-            fl = rb != 31 and fload[rb]
-            b = cp.imm_u[cidx]
-            tb = cp.imm_tag[cidx]
-            addr = (a + b) & _MASK64
-            mem = self._spec_memory if spec else self._memory
-            mem.store(addr, regs[cp.ra31[cidx]], cp.mem_size[cidx])
-        elif kind == K_COND:
-            ra = cp.ra31[cidx]
-            a = regs[ra]
-            ta = tags[ra]
-            fl = ra != 31 and fload[ra]
-            if cp.has_rb[cidx]:
-                rb = cp.rb31[cidx]
-                b = regs[rb]
-                tb = tags[rb]
-                fl = fl or (rb != 31 and fload[rb])
-            else:
-                b = cp.imm_u[cidx]
-                tb = cp.imm_tag[cidx]
-            taken = branch_taken(cp.opcode[cidx], a)
-            actual = cp.target[cidx] if taken else raw + 1
-            if spec:
-                # Wrong-path branch: consult but never train.
-                ptaken = self._predictor.lookup(pc)
-            else:
-                ptaken = self._predictor.predict(pc, taken)
-                self._predictor.update(pc, taken)
-            pred = cp.target[cidx] if ptaken else raw + 1
-            mis, nxt = self._control_tail(actual, pred)
-        elif kind == K_NOP or kind == K_HALT:
-            pass
-        elif kind <= K_BSR:   # K_BR, K_BSR: direct, known at decode
-            actual = cp.target[cidx]
-            if kind == K_BSR:
-                return_pc = cp.base_pc + (raw + 1) * 4
-                res = return_pc
-                rd = cp.rd_w[cidx]
-                if rd >= 0:
-                    regs[rd] = res
-                    fload[rd] = False
-                    tags[rd] = tag_code_of_value(res)
-                if not spec:
-                    self._ras.push(return_pc)
-            mis, nxt = self._control_tail(actual, actual)
-        else:                 # K_JMP, K_JSR, K_RET: indirect
-            rb = cp.rb31[cidx]
-            target_pc = regs[rb]
-            a = target_pc
-            ta = tags[rb]
-            base_pc = cp.base_pc
-            actual = (target_pc - base_pc) // 4
-            return_pc = base_pc + (raw + 1) * 4
-            if kind == K_RET:
-                ppc = self._ras.pop() if not spec else None
-            else:
-                ppc = self._btb.lookup(pc)
-                if kind == K_JSR and not spec:
-                    self._ras.push(return_pc)
-            if not spec:
-                self._btb.update(pc, target_pc)
-            pred = raw + 1 if ppc is None else (ppc - base_pc) // 4
-            if kind == K_JSR:
-                res = return_pc
-                rd = cp.rd_w[cidx]
-                if rd >= 0:
-                    regs[rd] = res
-                    fload[rd] = False
-                    tags[rd] = tag_code_of_value(res)
-            mis, nxt = self._control_tail(actual, pred)
-
-        self._fetch_index = nxt
-        if kind == K_HALT and not spec:
-            self._halted = True
-        return [seq, cidx, raw, pc, nxt, -1, -1, None, False, False, False,
-                False, False, False, -1, False, a, b, ta, tb, fl, res,
-                addr, mis, spec, -1, False, 0]
-
-    def _control_tail(self, actual: int, pred: int):
-        """Shared resolution of a control transfer: (mispredicted,
-        next_index), checkpointing on a first wrong prediction."""
-        if self._perfect:
-            pred = actual
-        if self._fast_mode:
-            # Warmup: train, record the would-be outcome, follow truth.
-            return pred != actual, actual
-        if self._spec:
-            # Deeper mispredictions are irrelevant; follow prediction.
-            return False, pred
-        if pred != actual:
-            self._checkpoint = (list(self._regs), list(self._tags),
-                                list(self._from_load), actual)
-            self._spec = True
-            return True, pred
-        return False, actual
-
     # --------------------------------------------------------------- run
 
     def fast_forward(self, instructions: int) -> int:
-        """Warm caches and predictors functionally (Section 3.2)."""
-        self._fast_mode = True
-        executed = 0
-        cp_is_store = self.cp.is_store
-        for _ in range(instructions):
-            e = self._next_inst()
-            if e is None:
-                break
-            self._ifetch(e[E_PC])
-            addr = e[E_ADDR]
-            if addr is not None:
-                self._daccess(addr, is_write=cp_is_store[e[E_CIDX]])
-            executed += 1
-        self._fast_mode = False
+        """Warm caches and predictors functionally along the correct
+        path (Section 3.2); returns instructions actually executed."""
+        if self._halted:
+            return 0
+        executed, self._fetch_index, self._halted = run_true_path(
+            self.cp, self._regs, self._tags, self._from_load, self._memory,
+            self._fetch_index, instructions,
+            detect_loads=self._detect_loads, ifetch=self._ifetch,
+            daccess=self._daccess, predictor=self._predictor,
+            btb=self._btb, ras=self._ras)
+        self._seq += executed
         return executed
 
     def run(self, max_insts: int | None = None) -> RunResult:
@@ -1067,7 +885,7 @@ class FastMachine:
             if cycle >= resume and cycle >= stall and not halted:
                 nfetched = 0
                 while nfetched < fetch_width and nfq < queue_size:
-                    # ---- functional feed, inlined (twin of _next_inst)
+                    # ---- functional feed, inlined (twin of Feed.next)
                     raw = fetch_index
                     cidx = raw if 0 <= raw < cp_n else cp_n
                     kind = cp_kind[cidx]

@@ -79,19 +79,13 @@ _LENGTH_CACHE: dict[tuple[str, int], int] = {}
 
 
 def dynamic_length(workload: Workload, scale: int = 1) -> int:
-    """Total dynamic instruction count of a workload (functional run,
-    cached per scale)."""
+    """Total dynamic instruction count of a workload (true-path
+    functional run, cached per scale)."""
     key = (workload.name, scale)
     if key not in _LENGTH_CACHE:
-        from repro.core.config import BASELINE
-        from repro.core.feed import Feed
+        from repro.fastsim.functional import dynamic_count
 
-        feed = Feed(workload.build(scale), BASELINE)
-        feed.fast_mode = True
-        count = 0
-        while feed.next() is not None:
-            count += 1
-        _LENGTH_CACHE[key] = count
+        _LENGTH_CACHE[key] = dynamic_count(workload.build(scale))
     return _LENGTH_CACHE[key]
 
 

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitwidth.tags import tag_code
 from repro.core.config import BASELINE, MachineConfig
 from repro.core.machine import Machine
 from repro.exec import Job, RunContext, RunEngine, clear_memo
@@ -39,7 +40,11 @@ from repro.isa.semantics import (
 )
 from repro.power.gating import GatingPolicy
 from repro.robust.report import SuiteFailure
-from repro.workloads.registry import get_workload, resolve_warmup
+from repro.workloads.registry import (
+    dynamic_length,
+    get_workload,
+    resolve_warmup,
+)
 
 u64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -145,6 +150,63 @@ class TestFastMachineEquivalence:
         # in-flight packing state.
         for window in (1, 17, 501):
             assert run_pair("compress", BASELINE, window=window) == []
+
+
+def warmed_state(machine) -> dict:
+    """Post-warmup state both backends expose: architectural registers,
+    width-tag codes, load provenance, fetch position, and per-cache
+    misses plus residency/LRU order.  Hit counts are left out on
+    purpose: the fast backend's same-block shortcut skips walks that
+    could only hit."""
+    if isinstance(machine, FastMachine):
+        regs, tags = machine._regs, machine._tags
+        fload = machine._from_load
+        index, halted = machine._fetch_index, machine._halted
+    else:
+        feed = machine.feed
+        regs, tags = feed._regs, [tag_code(t) for t in feed._tags]
+        fload = feed._from_load
+        index, halted = feed.fetch_index, feed.halted
+    caches = {}
+    for cache in (machine.hierarchy.l1i, machine.hierarchy.l1d,
+                  machine.hierarchy.l2):
+        caches[cache.name] = (cache.stats.misses, cache._tags)
+    return {"regs": list(regs), "tags": list(tags), "from_load": list(fload),
+            "fetch_index": index, "halted": halted, "caches": caches}
+
+
+class TestFastForwardParity:
+    """``FastMachine.fast_forward`` (the true-path functional executor
+    in warm mode) leaves the same state as the reference feed's fast
+    mode."""
+
+    @pytest.mark.parametrize("workload", ["go", "compress", "g721-encode"])
+    @pytest.mark.parametrize("config", [
+        BASELINE,
+        BASELINE.with_gating(GatingPolicy(detect_loads=False)),
+        BASELINE.with_predictor("perfect"),
+    ], ids=["baseline", "no-detect", "perfect-predictor"])
+    def test_state_matches_reference(self, workload, config):
+        w = get_workload(workload)
+        warmup = resolve_warmup(w, 1)
+        reference = Machine(w.build(1), config)
+        fast = FastMachine(w.build(1), config)
+        assert fast.fast_forward(warmup) == reference.fast_forward(warmup)
+        assert warmed_state(fast) == warmed_state(reference)
+        # Sequence numbers advance by the executed count on both sides.
+        assert fast._seq == reference.feed.seq
+
+    def test_past_program_end_halts_both(self):
+        w = get_workload("go")
+        length = dynamic_length(w, 1)
+        reference = Machine(w.build(1), BASELINE)
+        fast = FastMachine(w.build(1), BASELINE)
+        assert reference.fast_forward(length + 100) == length
+        assert fast.fast_forward(length + 100) == length
+        assert fast._halted and reference.feed.halted
+        assert warmed_state(fast) == warmed_state(reference)
+        assert fast.fast_forward(10) == reference.fast_forward(10) == 0
+        assert result_to_dict(fast.run()) == result_to_dict(reference.run())
 
 
 # ----------------------------------------------------------------- engine

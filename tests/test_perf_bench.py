@@ -191,17 +191,16 @@ class TestMatrix:
         assert doc["quick"] is True
 
     def test_host_mismatch_note_goes_to_stderr(self, tmp_path, capsys):
-        code = bench_main(["--workloads", "g721-encode", "--repeats",
-                           "1", "--window", "2000", "--quick",
-                           "--out-dir", str(tmp_path)])
-        assert code == 0
-        (bench_file,) = tmp_path.glob("BENCH_*.json")
-        doc = json.loads(bench_file.read_text())
-        doc["host"] = {"platform": "other", "python": "0",
-                       "machine": "vax", "cpus": 1}
+        # A baseline from another host with no per-workload rows: the
+        # diff runs (and notes the host) without comparing two short
+        # timings, which would make the exit code noise-dependent.
+        # Regression gating itself is covered by the diff_against tests.
+        doc = {"schema": SCHEMA,
+               "host": {"platform": "other", "python": "0",
+                        "machine": "vax", "cpus": 1},
+               "workloads": {}}
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
-        capsys.readouterr()
         code = bench_main(["--workloads", "g721-encode", "--repeats",
                            "1", "--window", "2000", "--quick",
                            "--out-dir", str(tmp_path),

@@ -145,6 +145,9 @@ class TestEngineIntegration:
         assert counters["engine.cache_stores"] == 2
         histograms = get_registry().snapshot()["histograms"]
         assert histograms["sim.run_seconds"]["count"] == 2
+        for name in ("sim.warmup_seconds", "sim.resolve_warmup_seconds",
+                     "sim.construct_seconds", "sim.fast_forward_seconds"):
+            assert histograms[name]["count"] == 2, name
 
     def test_engine_stats_mirror_into_counters(self, tmp_path):
         ctx = RunContext(cache_dir=tmp_path / "c", jobs=1)

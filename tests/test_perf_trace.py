@@ -136,6 +136,27 @@ class TestEngineTraceContracts:
         assert acc["sim.run"] == acc["execute"]
         assert acc["serialize"] == acc["execute"]
 
+    def test_warmup_splits_into_child_phases(self, tmp_path):
+        tracer = SpanTracer()
+        engine = RunEngine(RunContext(cache_dir=tmp_path / "c", jobs=1),
+                           tracer=tracer)
+        _, report = engine.run_jobs_report(small_jobs())
+        assert report.ok
+        acc = tracer.accounting()
+        assert acc["sim.warmup"] == acc["execute"]
+        warmups = {s.id: s for s in tracer.of_name("sim.warmup")}
+        for name in ("sim.resolve_warmup", "sim.construct",
+                     "sim.fast_forward"):
+            children = tracer.of_name(name)
+            assert len(children) == acc["execute"], name
+            # Exactly one of each child under every warmup span, and it
+            # fits inside its parent.
+            assert sorted(c.parent for c in children) == sorted(warmups)
+            for child in children:
+                parent = warmups[child.parent]
+                assert parent.start <= child.start <= child.end \
+                    <= parent.end
+
     def test_cache_hit_spans_equal_cache_tier_outcomes(self, tmp_path):
         jobs = small_jobs()
         ctx = RunContext(cache_dir=tmp_path / "c", jobs=1)

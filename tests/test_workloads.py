@@ -78,7 +78,10 @@ class TestAllWorkloads:
         assert p1.image == p2.image
 
     def test_runs_to_halt(self, name):
-        run_functional(name)
+        feed = run_functional(name)
+        # The true-path length pass counts what the reference feed
+        # executes, HALT included.
+        assert feed.seq == dynamic_length(get_workload(name))
 
 
 class TestComputedResults:
