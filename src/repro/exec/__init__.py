@@ -6,8 +6,8 @@ The unit of work is a :class:`~repro.exec.jobs.Job` — one
 :class:`~repro.exec.context.RunContext` (obs directory, cache policy,
 worker count), deduplicating shared jobs, fanning fresh simulations out
 over a process pool, and backing everything with an on-disk
-:class:`~repro.exec.cache.ResultCache` keyed by workload, scale, the
-config's stable fingerprint, and a schema version.
+:class:`~repro.exec.shards.ShardedResultCache` keyed by workload,
+scale, the config's stable fingerprint, and a schema version.
 
 All three result tiers (in-process memo, disk cache, fresh simulation
 — serial or pooled) produce bit-exact identical counters: every fresh

@@ -1,10 +1,12 @@
-"""Persistent on-disk result cache.
+"""One directory of the persistent on-disk result cache.
 
-Each entry is one JSON file holding the serialized run result plus the
-obs manifest of the run that produced it (when obs was attached), under
-a content key::
+A :class:`ResultCache` is one shard of the engine's store,
+:class:`~repro.exec.shards.ShardedResultCache`, and owns the entry
+format.  Each entry is one JSON file holding the serialized run result
+plus the obs manifest of the run that produced it (when obs was
+attached), under a content key::
 
-    <cache_dir>/<workload>-<config_fp[:10]>-x<scale>.json
+    <shard_dir>/<workload>-<config_fp[:10]>-x<scale>.json
 
 Invalidation is by construction, not by mtime:
 
@@ -20,7 +22,7 @@ Invalidation is by construction, not by mtime:
   served as plausible-but-wrong numbers.
 
 Corrupt entries are **quarantined**, never silently treated as misses:
-the damaged file moves to ``<cache_dir>/quarantine/`` next to a
+the damaged file moves to ``<shard_dir>/quarantine/`` next to a
 ``<name>.reason.json`` sidecar recording what was wrong with it, a
 one-line warning is logged, and the configured ``on_quarantine``
 callback fires (the run engine counts these in

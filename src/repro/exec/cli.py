@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.exec.context import BACKENDS, CACHE_LAYOUTS, RunContext
+from repro.exec.context import BACKENDS, RunContext
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser,
@@ -46,13 +46,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser,
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent result cache directory; warm "
                             "reruns skip simulation entirely")
-    group.add_argument("--cache-layout", default="flat",
-                       choices=CACHE_LAYOUTS,
-                       help="on-disk layout under --cache-dir: 'flat' "
-                            "(one directory of entries, the CLI "
-                            "default) or 'cas' (the sharded "
-                            "content-addressed store repro-serve "
-                            "uses; entry bytes are identical)")
     group.add_argument("--no-cache", action="store_true",
                        help="bypass every result cache tier (forces "
                             "fresh simulation, stores nothing)")
@@ -89,7 +82,6 @@ def context_from_args(args: argparse.Namespace,
     fields = dict(
         backend=args.backend,
         cache_dir=args.cache_dir,
-        cache_layout=args.cache_layout,
         use_cache=not args.no_cache,
         refresh=args.refresh,
         jobs=args.jobs,

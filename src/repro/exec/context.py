@@ -15,9 +15,6 @@ from pathlib import Path
 #: Valid simulation backends (see :attr:`RunContext.backend`).
 BACKENDS = ("reference", "fast", "both")
 
-#: Valid on-disk cache layouts (see :attr:`RunContext.cache_layout`).
-CACHE_LAYOUTS = ("flat", "cas")
-
 
 @dataclass(frozen=True)
 class RunContext:
@@ -34,15 +31,10 @@ class RunContext:
     #: serialized results are identical.  ``"both"`` never recalls from
     #: a cache tier: a recalled result would skip the cross-check.
     backend: str = "reference"
-    #: directory for the persistent result cache (None = memory only).
+    #: root of the persistent result cache, a sharded content-addressed
+    #: store (:class:`~repro.exec.shards.ShardedResultCache`); None =
+    #: memory only.
     cache_dir: Path | None = None
-    #: on-disk layout under ``cache_dir``: ``"flat"`` (one directory of
-    #: entries — the CLI default) or ``"cas"`` (the sharded
-    #: content-addressed store, :class:`~repro.exec.shards.
-    #: ShardedResultCache` — what ``repro-serve`` uses so concurrent
-    #: tenants fan out across shards).  Entry bytes are identical in
-    #: both layouts; only the directory structure differs.
-    cache_layout: str = "flat"
     #: consult/populate the in-process memo and the on-disk cache.
     use_cache: bool = True
     #: ignore existing cache entries and overwrite them with fresh runs.
@@ -68,9 +60,6 @@ class RunContext:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, "
                              f"got {self.backend!r}")
-        if self.cache_layout not in CACHE_LAYOUTS:
-            raise ValueError(f"cache_layout must be one of "
-                             f"{CACHE_LAYOUTS}, got {self.cache_layout!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.timeout is not None and self.timeout <= 0:

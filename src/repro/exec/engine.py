@@ -5,9 +5,10 @@ The engine owns the three result tiers and consults them in order:
 1. the **in-process memo** (shared by every engine in the process, so
    figure renderers re-requesting a run after the engine pre-ran it pay
    nothing — the old ``experiments.base._CACHE`` behavior);
-2. the **persistent on-disk cache** (:class:`~repro.exec.cache.ResultCache`),
-   keyed by workload, scale, config fingerprint, and schema version, so
-   a warm re-run of the full suite costs milliseconds;
+2. the **persistent on-disk cache**
+   (:class:`~repro.exec.shards.ShardedResultCache`), keyed by workload,
+   scale, config fingerprint, and schema version, so a warm re-run of
+   the full suite costs milliseconds;
 3. **fresh simulation** — in-process when ``ctx.jobs == 1``, fanned out
    over a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise.
 
@@ -76,7 +77,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.machine import Machine, RunResult
-from repro.exec.cache import ResultCache
 from repro.exec.context import RunContext
 from repro.exec.jobs import Job, dedupe
 from repro.exec.serialize import (
@@ -84,6 +84,7 @@ from repro.exec.serialize import (
     result_from_dict,
     result_to_dict,
 )
+from repro.exec.shards import ShardedResultCache
 from repro.obs.export import build_manifest, write_manifest
 from repro.obs.sampler import IntervalSampler
 from repro.perf.clock import epoch_now, perf_now
@@ -323,15 +324,10 @@ class RunEngine:
         #: job key -> span id of the span that produced its result
         #: (execute or cache.hit), for manifest cross-linking.
         self._span_of: dict[tuple, int] = {}
-        if self.ctx.cache_dir is None:
-            self._cache = None
-        elif self.ctx.cache_layout == "cas":
-            from repro.exec.shards import ShardedResultCache
-            self._cache = ShardedResultCache(
-                self.ctx.cache_dir, on_quarantine=self._on_quarantine)
-        else:
-            self._cache = ResultCache(self.ctx.cache_dir,
-                                      on_quarantine=self._on_quarantine)
+        self._cache = (None if self.ctx.cache_dir is None
+                       else ShardedResultCache(
+                           self.ctx.cache_dir,
+                           on_quarantine=self._on_quarantine))
 
     def _on_quarantine(self, path, reason: str) -> None:
         self._bump(cache_quarantined=1)

@@ -258,8 +258,8 @@ def cache_chaos(cache_dir, mode: str = "bitflip",
     the entry file; ``"truncate"`` cuts the file in half.  ``ctx`` is
     an optional base :class:`~repro.exec.context.RunContext` (the CLI
     threads its shared engine flags through it) — its ``cache_dir`` and
-    ``obs_dir`` are overridden, and a ``cas`` cache layout corrupts an
-    entry inside its shard, proving per-shard quarantine.
+    ``obs_dir`` are overridden.  The corrupted entry sits inside its
+    store shard, so recovery proves per-shard quarantine.
     """
     from dataclasses import replace as _replace
 
@@ -267,6 +267,7 @@ def cache_chaos(cache_dir, mode: str = "bitflip",
     from repro.exec.context import RunContext
     from repro.exec.engine import RunEngine, clear_memo
     from repro.exec.jobs import Job
+    from repro.exec.shards import ShardedResultCache
 
     job = Job(workload=workload, config=_BASELINE, scale=scale)
     if ctx is None:
@@ -279,11 +280,7 @@ def cache_chaos(cache_dir, mode: str = "bitflip",
     # stores a disk entry (a memo hit would leave the cache tier empty).
     clear_memo()
     clean = RunEngine(ctx).run_jobs([job])[job.key]
-    if ctx.cache_layout == "cas":
-        from repro.exec.shards import ShardedResultCache
-        entry_paths = sorted(ShardedResultCache(cache_dir).entries())
-    else:
-        entry_paths = sorted(p for p in cache_dir.glob("*.json"))
+    entry_paths = ShardedResultCache(cache_dir).entries()
     if not entry_paths:
         get_registry().counter(f"chaos.{UNARMED}").inc()
         return ChaosOutcome(workload, f"cache-{mode}", seed, UNARMED,

@@ -56,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also corrupt a disk-cache entry and demand "
                              "quarantine + bit-exact recovery (uses "
                              "the shared --cache-dir, or a fresh "
-                             "temporary directory; --cache-layout cas "
-                             "corrupts inside a CAS shard)")
+                             "temporary directory)")
     parser.add_argument("--service-chaos", action="store_true",
                         help="also run the service-tier scenario "
                              "matrix: worker death mid-sweep, journal "

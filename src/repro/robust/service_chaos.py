@@ -74,12 +74,12 @@ _WAIT = 120.0
 
 
 def _service_ctx(root: Path) -> RunContext:
-    """The scenario services run the CAS layout.  Callers pair this
-    with :func:`~repro.exec.engine.clear_memo`, which alone keeps the
-    process-wide result memo from serving jobs from memory and so
-    bypassing the very disk/journal tiers the scenarios corrupt."""
-    return RunContext(cache_dir=root / "cas", cache_layout="cas",
-                      obs_dir=None, jobs=1)
+    """The scenario services' context, with a store under ``root``.
+    Callers pair this with :func:`~repro.exec.engine.clear_memo`, which
+    alone keeps the process-wide result memo from serving jobs from
+    memory and so bypassing the very disk/journal tiers the scenarios
+    corrupt."""
+    return RunContext(cache_dir=root / "cas", obs_dir=None, jobs=1)
 
 
 def _expected_bytes(workload: str = WORKLOAD) -> bytes:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import MachineConfig, named_configs
+from repro.core.config import named_configs
 from repro.exec.jobs import Job
 
 #: Wire schema for every request/response document (bump on breaking
@@ -246,14 +246,6 @@ class JobSpec:
 
     def fingerprint(self) -> str:
         return self.resolve().fingerprint()
-
-
-def resolve_config(name: str) -> MachineConfig:
-    """Named-config lookup with the API's typed failure."""
-    configs = named_configs()
-    _require(name in configs, f"unknown config {name!r}",
-             known=sorted(configs))
-    return configs[name]
 
 
 # ------------------------------------------------------- request/response

@@ -181,20 +181,13 @@ class ServiceClient:
 # --------------------------------------------------------------- verify
 
 def index_local_cache(cache_dir: Path) -> dict[str, dict]:
-    """fingerprint -> verified entry, over a flat *or* sharded cache
-    directory (the layout marker decides)."""
-    from repro.exec.cache import ResultCache
-    from repro.exec.shards import MARKER, ShardedResultCache
-    if (cache_dir / MARKER).exists():
-        cache = ShardedResultCache(cache_dir)
-        loaders = [(cache.shard(p.name), e) for p in cache.shards()
-                   for e in cache.shard(p.name).entries()]
-    else:
-        flat = ResultCache(cache_dir)
-        loaders = [(flat, e) for e in flat.entries()]
+    """fingerprint -> verified entry, over every shard of a local
+    result store."""
+    from repro.exec.shards import ShardedResultCache
+    cache = ShardedResultCache(cache_dir)
     index: dict[str, dict] = {}
-    for cache, path in loaders:
-        entry = cache.load_entry(path)
+    for path in cache.entries():
+        entry = cache.shard(path.parent.name).load_entry(path)
         if entry is not None and isinstance(entry.get("fingerprint"), str):
             index[entry["fingerprint"]] = entry
     return index

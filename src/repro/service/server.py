@@ -9,11 +9,10 @@ JSONL, and GET results from the shared content-addressed store.
 
 The engine flags are the same shared set every repro CLI accepts
 (:mod:`repro.exec.cli`); the one service twist is that ``--cache-dir``
-defaults to ``service-cas`` with the sharded ``cas`` layout, because a
-multi-tenant service without a shared store would re-simulate every
-popular job per tenant.  Pass an ``--obs-out`` directory to have every
-fresh simulation leave an obs manifest *and* stream its records to
-progress subscribers.
+defaults to ``service-cas``, because a multi-tenant service without a
+shared store would re-simulate every popular job per tenant.  Pass an
+``--obs-out`` directory to have every fresh simulation leave an obs
+manifest *and* stream its records to progress subscribers.
 
 Startup prints ``serving on http://HOST:PORT`` to **stderr** (stdout
 stays machine-parseable: it carries exactly one line, the bound URL,
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="circuit breaker cooldown (default 30)")
     add_engine_arguments(parser)
-    parser.set_defaults(cache_dir="service-cas", cache_layout="cas")
+    parser.set_defaults(cache_dir="service-cas")
     return parser
 
 
@@ -91,9 +90,8 @@ async def _serve(args: argparse.Namespace,
     host, port = await frontend.start()
     url = f"http://{host}:{port}"
     print(f"serving on {url} (queue limit {service.queue_limit}, "
-          f"{service.workers} workers, cache {service.ctx.cache_dir} "
-          f"[{service.ctx.cache_layout}], backend "
-          f"{service.ctx.backend})", file=sys.stderr, flush=True)
+          f"{service.workers} workers, cache {service.ctx.cache_dir}, "
+          f"backend {service.ctx.backend})", file=sys.stderr, flush=True)
     print(url, flush=True)
     loop = asyncio.get_running_loop()
     drain_requested = asyncio.Event()

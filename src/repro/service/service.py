@@ -18,8 +18,8 @@ the same object.  It owns six pieces of machinery:
   time through a :class:`~repro.exec.engine.RunEngine` under the
   service's :class:`~repro.exec.context.RunContext` — so a served job
   gets the cache tiers, retries, timeouts, spans, and metrics a local
-  CLI run gets, and its result lands in the shared (sharded, when
-  ``cache_layout="cas"``) content-addressed store;
+  CLI run gets, and its result lands in the shared sharded
+  content-addressed store;
 * a **durable sweep journal** (:mod:`repro.service.journal`, enabled
   by ``journal_dir``): admission, dispatch, terminal outcomes, and
   parked work hit an fsync'd WAL before clients see them; on
@@ -70,7 +70,7 @@ from repro.exec.context import RunContext
 from repro.exec.engine import RunEngine
 from repro.exec.jobs import Job
 from repro.exec.serialize import result_to_dict
-from repro.exec.shards import ShardedResultCache, shard_key
+from repro.exec.shards import ShardedResultCache
 from repro.obs.export import manifest_records, read_manifest
 from repro.perf.clock import epoch_now, mono_now
 from repro.perf.metrics import get_registry
@@ -190,10 +190,8 @@ class ExperimentService:
         self._breaker_open_until: float | None = None
         self._avg_wall = 2.0                    # EMA, seconds per job
         self._journal: SweepJournal | None = None
-        self._store = (ShardedResultCache(self.ctx.cache_dir)
-                       if (self.ctx.cache_dir is not None
-                           and self.ctx.cache_layout == "cas")
-                       else None)
+        self._store = (None if self.ctx.cache_dir is None
+                       else ShardedResultCache(self.ctx.cache_dir))
         self._started_at = epoch_now()
         if journal_dir is not None:
             self._open_journal(Path(journal_dir) / JOURNAL_NAME)
@@ -684,7 +682,6 @@ class ExperimentService:
                 "done": len(self._done),
                 "uptime_seconds": round(epoch_now() - self._started_at, 3),
                 "backend": self.ctx.backend,
-                "cache_layout": self.ctx.cache_layout,
                 "breaker": self._breaker_doc_locked(),
                 "journal": self._journal_doc_locked(),
             }
@@ -1024,8 +1021,3 @@ class ExperimentService:
         if not self.ctx.use_cache or self.ctx.refresh:
             return None
         return self._store.load_by_fingerprint(fingerprint)
-
-
-def shard_of_fingerprint(fingerprint: str) -> str:
-    """Convenience re-export: which CAS shard a fingerprint lands in."""
-    return shard_key(fingerprint)

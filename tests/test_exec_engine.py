@@ -17,9 +17,9 @@ from repro.core.config import BASELINE
 from repro.exec import (
     GLOBAL_STATS,
     Job,
-    ResultCache,
     RunContext,
     RunEngine,
+    ShardedResultCache,
     clear_memo,
 )
 from repro.exec.engine import _MEMO
@@ -78,7 +78,7 @@ class TestCacheFallback:
         clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path))
         good = engine.run(JOB_GO)
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultCache(tmp_path)
         cache.path(JOB_GO).write_text("garbage{", encoding="utf-8")
         clear_memo()
 
@@ -94,7 +94,7 @@ class TestCacheFallback:
         clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path))
         good = engine.run(JOB_GO)
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultCache(tmp_path)
         path = cache.path(JOB_GO)
         entry = json.loads(path.read_text(encoding="utf-8"))
         entry["schema"] = "repro-exec/0"
@@ -128,13 +128,13 @@ class TestEnginePolicy:
         engine.run(JOB_GO)
         assert engine.stats.fresh_runs == 1
         assert JOB_GO.key not in _MEMO
-        assert ResultCache(tmp_path).entries() == []
+        assert ShardedResultCache(tmp_path).entries() == []
 
     def test_refresh_overwrites_cache_entry(self, tmp_path):
         clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path))
         engine.run(JOB_GO)
-        path = ResultCache(tmp_path).path(JOB_GO)
+        path = ShardedResultCache(tmp_path).path(JOB_GO)
         before = path.stat().st_mtime_ns
 
         refresh_engine = RunEngine(RunContext(cache_dir=tmp_path,

@@ -1,18 +1,20 @@
 """Tests for the sharded content-addressed store and the shared
 engine CLI flags.
 
-The CAS contract: entry *bytes* are identical to the flat layout's
-(only the directory differs), the root is self-describing via its
-layout marker, corruption quarantines per shard, and fingerprint-only
-lookups scan exactly one shard.  The flag contract: every repro CLI
-carries the same engine knob group and derives the same typed
-RunContext from it.
+The CAS contract: every engine with a cache directory stores into
+fingerprint-hashed shards, the root is self-describing via its layout
+marker (written atomically), corruption quarantines per shard,
+fingerprint-only lookups scan exactly one shard, and entries an older
+single-directory cache left at the root are plain misses.  The flag
+contract: every repro CLI carries the same engine knob group and
+derives the same typed RunContext from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +31,15 @@ from repro.exec import (
     context_from_args,
     validate_engine_args,
 )
-from repro.exec.shards import MARKER, shard_key
+from repro.exec.shards import MARKER, WIDTH, shard_key
+from repro.service.client import index_local_cache
 
 GO = Job("go", BASELINE, 1)
+
+
+def run_into(directory):
+    clear_memo()
+    return RunEngine(RunContext(cache_dir=directory)).run(GO)
 
 
 class TestShardKey:
@@ -39,8 +47,7 @@ class TestShardKey:
         assert shard_key("go-x1-abc") == shard_key("go-x1-abc")
 
     def test_width(self):
-        assert len(shard_key("x", 2)) == 2
-        assert len(shard_key("x", 4)) == 4
+        assert len(shard_key("x")) == WIDTH == 2
 
     def test_hashed_not_prefix(self):
         # Raw fingerprints share the workload-name prefix; hashing
@@ -50,21 +57,10 @@ class TestShardKey:
                 for c in named_configs().values()}
         assert len(keys) > 1
 
-    def test_bad_width_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedResultCache("anywhere", width=0)
-        with pytest.raises(ValueError):
-            ShardedResultCache("anywhere", width=9)
-
 
 class TestShardedLayout:
-    def run_into(self, directory, layout):
-        clear_memo()
-        ctx = RunContext(cache_dir=directory, cache_layout=layout)
-        return RunEngine(ctx).run(GO)
-
     def test_store_lands_in_shard_with_marker(self, tmp_path):
-        self.run_into(tmp_path / "cas", "cas")
+        run_into(tmp_path / "cas")
         marker = json.loads((tmp_path / "cas" / MARKER).read_text())
         assert marker["schema"] == CAS_SCHEMA
         assert marker["shard_width"] == 2
@@ -74,26 +70,17 @@ class TestShardedLayout:
         # The entry sits in the shard its fingerprint hashes to.
         assert entries[0].parent.name == shard_key(GO.fingerprint())
 
-    def test_entry_bytes_identical_to_flat_layout(self, tmp_path):
-        self.run_into(tmp_path / "cas", "cas")
-        self.run_into(tmp_path / "flat", "flat")
-        cas_entry = ShardedResultCache(tmp_path / "cas").entries()[0]
-        flat_entry = sorted((tmp_path / "flat").glob("*.json"))[0]
-        assert cas_entry.name == flat_entry.name
-        assert cas_entry.read_bytes() == flat_entry.read_bytes()
-
     def test_warm_hit_through_engine(self, tmp_path):
-        first = self.run_into(tmp_path / "cas", "cas")
+        first = run_into(tmp_path / "cas")
         clear_memo()
-        engine = RunEngine(RunContext(cache_dir=tmp_path / "cas",
-                                      cache_layout="cas"))
+        engine = RunEngine(RunContext(cache_dir=tmp_path / "cas"))
         second = engine.run(GO)
         assert engine.stats.cache_hits == 1
         assert engine.stats.fresh_runs == 0
         assert second.stats.as_dict() == first.stats.as_dict()
 
     def test_load_by_fingerprint(self, tmp_path):
-        self.run_into(tmp_path / "cas", "cas")
+        run_into(tmp_path / "cas")
         cache = ShardedResultCache(tmp_path / "cas")
         entry = cache.load_by_fingerprint(GO.fingerprint())
         assert entry is not None
@@ -101,7 +88,7 @@ class TestShardedLayout:
         assert cache.load_by_fingerprint("no-such-fingerprint") is None
 
     def test_corrupt_entry_quarantines_in_its_shard(self, tmp_path):
-        self.run_into(tmp_path / "cas", "cas")
+        run_into(tmp_path / "cas")
         cache = ShardedResultCache(tmp_path / "cas")
         path = cache.entries()[0]
         raw = bytearray(path.read_bytes())
@@ -109,8 +96,7 @@ class TestShardedLayout:
         path.write_bytes(bytes(raw))
 
         clear_memo()
-        engine = RunEngine(RunContext(cache_dir=tmp_path / "cas",
-                                      cache_layout="cas"))
+        engine = RunEngine(RunContext(cache_dir=tmp_path / "cas"))
         recovered = engine.run(GO)
         assert engine.stats.cache_quarantined == 1
         assert engine.stats.fresh_runs == 1
@@ -121,6 +107,33 @@ class TestShardedLayout:
         assert quarantined[0].parent.parent.name \
             == shard_key(GO.fingerprint())
 
+    def test_root_entry_of_an_old_flat_cache_is_a_plain_miss(
+            self, tmp_path):
+        run_into(tmp_path / "cas")
+        [stored] = ShardedResultCache(tmp_path / "cas").entries()
+        # Where a single-directory cache kept the same entry: the root.
+        old = tmp_path / "old" / stored.name
+        old.parent.mkdir()
+        old.write_bytes(stored.read_bytes())
+
+        clear_memo()
+        engine = RunEngine(RunContext(cache_dir=tmp_path / "old"))
+        engine.run(GO)
+        assert engine.stats.fresh_runs == 1
+        assert engine.stats.cache_quarantined == 0
+        assert old.read_bytes() == stored.read_bytes()
+
+    def test_index_local_cache_covers_every_shard(self, tmp_path):
+        cache = ShardedResultCache(tmp_path)
+        jobs = [Job("go", config, 1)
+                for config in list(named_configs().values())[:4]]
+        for n, job in enumerate(jobs):
+            cache.store(job, {"stats": {"committed": n}})
+        assert len(cache.shards()) > 1
+        assert index_local_cache(tmp_path) == {
+            job.fingerprint(): cache.load_by_fingerprint(job.fingerprint())
+            for job in jobs}
+
 
 class TestLayoutMarker:
     def test_width_mismatch_refused(self, tmp_path):
@@ -129,8 +142,10 @@ class TestLayoutMarker:
         (root / MARKER).write_text(json.dumps(
             {"schema": CAS_SCHEMA, "shard_width": 3}))
         with pytest.raises(CasLayoutError):
-            ShardedResultCache(root, width=2)
-        ShardedResultCache(root, width=3)    # matching width is fine
+            ShardedResultCache(root)
+        (root / MARKER).write_text(json.dumps(
+            {"schema": CAS_SCHEMA, "shard_width": WIDTH}))
+        ShardedResultCache(root)             # matching width is fine
 
     def test_foreign_schema_refused(self, tmp_path):
         root = tmp_path / "cas"
@@ -146,10 +161,35 @@ class TestLayoutMarker:
         (root / MARKER).write_text("{not json")
         with pytest.raises(CasLayoutError):
             ShardedResultCache(root)
+        (root / MARKER).write_text("[2]")   # JSON, but not an object
+        with pytest.raises(CasLayoutError):
+            ShardedResultCache(root)
 
-    def test_context_validates_layout(self, tmp_path):
-        with pytest.raises(ValueError):
-            RunContext(cache_dir=tmp_path, cache_layout="banana")
+    def test_marker_write_is_atomic(self, tmp_path, monkeypatch):
+        """A constructor racing the first store's marker write sees no
+        marker or a whole one, never an empty file."""
+        root = tmp_path / "cas"
+        racers = []
+        real_open = Path.open
+
+        def open_then_race(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            if self.name.startswith(MARKER) and "w" in mode:
+                try:
+                    racers.append(ShardedResultCache(root))
+                except BaseException:
+                    handle.close()
+                    raise
+            return handle
+
+        monkeypatch.setattr(Path, "open", open_then_race)
+        ShardedResultCache(root).store(GO, {"stats": {}})
+        monkeypatch.undo()
+        assert racers, "the marker write never went through Path.open"
+        marker = json.loads((root / MARKER).read_text())
+        assert marker["shard_width"] == WIDTH
+        assert [p.name for p in root.iterdir()
+                if p.name.startswith(MARKER)] == [MARKER]
 
 
 def _all_parsers():
@@ -164,8 +204,8 @@ def _all_parsers():
 
 
 class TestSharedEngineFlags:
-    ENGINE_DESTS = ("jobs", "backend", "cache_dir", "cache_layout",
-                    "no_cache", "refresh", "timeout", "retries")
+    ENGINE_DESTS = ("jobs", "backend", "cache_dir", "no_cache",
+                    "refresh", "timeout", "retries")
 
     def test_every_cli_carries_the_full_group(self):
         for name, parser in _all_parsers().items():
@@ -178,13 +218,12 @@ class TestSharedEngineFlags:
         add_engine_arguments(parser)
         args = parser.parse_args(
             ["--jobs", "3", "--cache-dir", str(tmp_path),
-             "--cache-layout", "cas", "--refresh", "--retries", "0",
+             "--refresh", "--retries", "0",
              "--backend", "fast", "--timeout", "5.5"])
         validate_engine_args(parser, args)
         ctx = context_from_args(args, obs_dir=tmp_path / "obs")
         assert ctx.jobs == 3
         assert ctx.backend == "fast"
-        assert ctx.cache_layout == "cas"
         assert ctx.refresh and ctx.use_cache
         assert ctx.retries == 0
         assert ctx.timeout == 5.5

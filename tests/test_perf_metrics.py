@@ -12,6 +12,7 @@ from repro.core.config import BASELINE
 from repro.exec.context import RunContext
 from repro.exec.engine import RunEngine, clear_memo
 from repro.exec.jobs import Job
+from repro.exec.shards import ShardedResultCache
 from repro.perf.metrics import (
     SCHEMA,
     TIME_BUCKETS,
@@ -166,7 +167,7 @@ class TestEngineIntegration:
         import json
         ctx = RunContext(cache_dir=tmp_path / "c", jobs=1)
         RunEngine(ctx).run_jobs(self.jobs()[:1])
-        (entry,) = (tmp_path / "c").glob("*.json")
+        (entry,) = ShardedResultCache(tmp_path / "c").entries()
         stored = json.loads(entry.read_text())
         assert "timing" not in stored
         assert "metrics" not in stored

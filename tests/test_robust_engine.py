@@ -16,9 +16,9 @@ from repro.core.config import BASELINE
 from repro.exec import (
     GLOBAL_STATS,
     Job,
-    ResultCache,
     RunContext,
     RunEngine,
+    ShardedResultCache,
     clear_memo,
 )
 from repro.robust.report import FAILED, OK, TIMED_OUT, RunReport, SuiteFailure
@@ -189,7 +189,7 @@ class TestCorruptCache:
         ctx = RunContext(cache_dir=tmp_path, jobs=1)
         RunEngine(ctx).run_jobs([JOB_A])
         clear_memo()
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultCache(tmp_path)
         [path] = cache.entries()
         return ctx, cache, path
 

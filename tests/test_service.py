@@ -26,8 +26,9 @@ import time
 
 import pytest
 
-from repro.exec import RunContext, clear_memo
+from repro.exec import RunContext, RunEngine, clear_memo
 from repro.exec.engine import GLOBAL_STATS
+from repro.exec.serialize import result_to_dict
 from repro.perf.metrics import get_registry
 from repro.service.api import (
     API_SCHEMA,
@@ -67,7 +68,7 @@ def _counter(name: str) -> int:
 class TestCoalescing:
     def test_concurrent_identical_sweeps_one_simulation(self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         service = HoldingService(ctx, queue_limit=8, workers=1).start()
         try:
             fresh_before = GLOBAL_STATS.fresh_runs
@@ -98,8 +99,6 @@ class TestCoalescing:
             payload = service.result_bytes(fp1)
             assert payload == service.result_bytes(fp2)
 
-            from repro.exec import RunEngine
-            from repro.exec.serialize import result_to_dict
             local = RunEngine(RunContext()).run(GO.jobs[0].resolve())
             assert payload == canonical_result_bytes(
                 result_to_dict(local))
@@ -109,7 +108,7 @@ class TestCoalescing:
 
     def test_terminal_sweep_serves_from_store(self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         service = ExperimentService(ctx, workers=1).start()
         try:
             first = service.wait(service.submit(GO).sweep_id,
@@ -124,7 +123,7 @@ class TestCoalescing:
 
     def test_store_survives_service_restart(self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         service = ExperimentService(ctx, workers=1).start()
         try:
             done = service.wait(service.submit(GO).sweep_id, timeout=120)
@@ -253,7 +252,7 @@ class TestHttpEndToEnd:
     @pytest.fixture()
     def served(self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         service = ExperimentService(ctx, queue_limit=8,
                                     workers=1).start()
         server = _HttpServer(service)
@@ -286,6 +285,17 @@ class TestHttpEndToEnd:
         health = client.health()
         assert health["status"] == "ok"
         assert health["schema"] == API_SCHEMA
+
+    def test_result_another_engine_stored_is_served(self, served,
+                                                     tmp_path):
+        # The service was built from RunContext(cache_dir=...) alone;
+        # a plain local engine writes the same store.
+        client, _server, _service = served
+        job = GO.jobs[0].resolve()
+        clear_memo()
+        local = RunEngine(RunContext(cache_dir=tmp_path / "cas")).run(job)
+        assert client.result(job.fingerprint()) == canonical_result_bytes(
+            result_to_dict(local))
 
     def test_typed_errors_over_http(self, served):
         client, server, _service = served
@@ -369,7 +379,7 @@ class CrashingService(ExperimentService):
 class TestFaultIsolation:
     def test_one_crash_fails_typed_and_the_sweep_continues(self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         service = CrashingService(ctx, workers=1, crashes=1,
                                   breaker_threshold=100).start()
         try:
@@ -428,7 +438,7 @@ class TestCircuitBreaker:
 
     def test_half_open_success_fully_closes(self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         service = CrashingService(ctx, workers=1, crashes=2,
                                   breaker_threshold=2,
                                   breaker_cooldown=0.05).start()
@@ -484,7 +494,7 @@ class TestDrain:
     def test_graceful_drain_parks_queued_and_finishes_inflight(
             self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         journal_dir = tmp_path / "journal"
         service = HoldingService(ctx, workers=1,
                                  journal_dir=journal_dir).start()
@@ -537,7 +547,7 @@ class TestDrain:
 class TestHealthEndpoints:
     def test_livez_and_readyz_split(self, tmp_path):
         clear_memo()
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         service = ExperimentService(ctx, workers=1,
                                     journal_dir=tmp_path / "journal"
                                     ).start()

@@ -50,7 +50,7 @@ def _expected_bytes(spec: JobSpec) -> bytes:
 
 class TestInProcessResume:
     def test_parked_work_resumes_and_matches_local_engine(self, tmp_path):
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         journal_dir = tmp_path / "journal"
 
         # Incarnation A admits a sweep but is never started: shutdown
@@ -81,7 +81,7 @@ class TestInProcessResume:
 
     def test_landed_result_served_from_store_without_resimulation(
             self, tmp_path):
-        ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
+        ctx = RunContext(cache_dir=tmp_path / "cas")
         journal_dir = tmp_path / "journal"
 
         first = ExperimentService(ctx, workers=1,
@@ -123,7 +123,7 @@ def _spawn_server(tmp_path: Path) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro.service.server",
          "--port", "0", "--workers", "1",
-         "--cache-dir", str(tmp_path / "cas"), "--cache-layout", "cas",
+         "--cache-dir", str(tmp_path / "cas"),
          "--journal-dir", str(tmp_path / "journal")],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
 
